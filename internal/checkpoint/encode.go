@@ -141,8 +141,18 @@ func (d *Dec) U8() uint8 {
 	return b[0]
 }
 
-// Bool reads a bool.
-func (d *Dec) Bool() bool { return d.U8() != 0 }
+// Bool reads a bool; any byte other than 0 or 1 is a decode error, so a
+// record that decodes re-encodes to the same bytes.
+func (d *Dec) Bool() bool {
+	switch d.U8() {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	d.err = fmt.Errorf("checkpoint: invalid bool at offset %d", d.off-1)
+	return false
+}
 
 // U32 reads a uint32.
 func (d *Dec) U32() uint32 {

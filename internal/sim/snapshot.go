@@ -92,6 +92,12 @@ func (e *Engine) Restore(s *Snapshot) error {
 		return fmt.Errorf("%w: ever-enabled tracking differs (snapshot %v, engine %v)",
 			ErrSnapshotMismatch, s.Ever != nil, e.ever != nil)
 	}
+	if s.Ever != nil && len(s.Ever) != len(e.cur) {
+		return fmt.Errorf("%w: ever-enabled vector of %d words, engine has %d", ErrSnapshotMismatch, len(s.Ever), len(e.cur))
+	}
+	if tail := s.N & 63; tail != 0 && s.Frontier[len(s.Frontier)-1]>>tail != 0 {
+		return fmt.Errorf("%w: frontier bits set beyond state %d", ErrSnapshotMismatch, s.N)
+	}
 	copy(e.cur, s.Frontier)
 	pop := 0
 	for _, w := range e.cur {
@@ -146,7 +152,8 @@ func (s *Snapshot) Decode(d *checkpoint.Dec) error {
 	s.Frontier = d.U64s()
 	s.FrontierLen = int(d.I64())
 	if d.Bool() {
-		s.Ever = d.U64s()
+		// Keep an empty vector non-nil: nil means tracking was off.
+		s.Ever = append([]uint64{}, d.U64s()...)
 	} else {
 		s.Ever = nil
 	}

@@ -1,14 +1,17 @@
-// Checkpointed, crash-resumable execution of the BaseAP/SpAP system.
+// The BaseAP/SpAP phase machine: the package's one executor.
 //
-// The plain executors (RunBaseAPSpAP, RunGuarded) re-stream the whole
-// input from symbol 0 on any interruption. The checkpointed variants here
-// run the same algorithms as an explicit phase machine whose complete
-// dynamic state — engine snapshot, intermediate-report list, per-batch
-// cursors, watchdog counters, guard ladder position, and the accumulated
-// Result — serializes into one checkpoint record. A run killed at any
-// point resumes from the newest valid record: mid-attempt in BaseAP mode,
-// mid-batch in SpAP mode, or mid-stream in the baseline fallback, instead
-// of starting over.
+// Every entry point drives the same explicit machine — BaseAP mode over
+// the hot network, SpAP mode over the cold network batch by batch, the
+// guard's whole-network baseline fallback, done. RunBaseAPSpAP and
+// RunGuarded run it without a checkpoint store, RunAPCPU borrows its
+// BaseAP phase, and the checkpointed variants here add durability. The
+// machine's complete dynamic state — engine snapshot,
+// intermediate-report list, per-batch cursors, watchdog counters, guard
+// ladder position, and the accumulated Result — serializes into one
+// checkpoint record. Without a store nothing is encoded. With one, a
+// run killed at any point resumes from the newest valid record:
+// mid-attempt in BaseAP mode, mid-batch in SpAP mode, or mid-stream in
+// the baseline fallback, instead of starting over.
 //
 // Exactly-once report delivery follows from the prefix property of engine
 // snapshots (see internal/sim/snapshot.go): a checkpoint taken before
@@ -20,9 +23,9 @@
 // store), so a crash between saves merely repeats work, never corrupts
 // state.
 //
-// An uninterrupted checkpointed run returns exactly what the plain
-// executor returns (same counters, same report order); the equivalence is
-// locked in by tests and the chaos soak harness.
+// A resumed record is validated against the partition and input before
+// any of it is used: a payload that decodes cleanly but carries positions
+// or state IDs from another run is refused with checkpoint.ErrMismatch.
 package spap
 
 import (
@@ -264,7 +267,7 @@ func (st *ckState) decode(payload []byte) error {
 	return d.Done()
 }
 
-// ckExec drives one checkpointed run.
+// ckExec drives one run of the phase machine.
 type ckExec struct {
 	ctx   context.Context
 	input []byte
@@ -276,18 +279,43 @@ type ckExec struct {
 	cur   *hotcold.Partition
 	enc   checkpoint.Enc
 	rs    ResumeStats
+
+	// collect keeps final reports in st.res.Reports: the caller asked
+	// for them, a guarded run may splice them in a batch fallback, or a
+	// live store must persist the report prefix.
+	collect bool
 }
 
-// save persists the full state through the runner (no-op when disabled).
+// capacityError marks a batch-partitioning failure: the network does not
+// fit the configured capacity, and the entry points return no Result.
+type capacityError struct{ error }
+
+func (e capacityError) Unwrap() error { return e.error }
+
+// newExec prepares a fresh run of p. With g == nil and a nil or disabled
+// runner it is the plain BaseAP/SpAP executor.
+func newExec(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, g *Guard, opts Options, ck *checkpoint.Runner) *ckExec {
+	st := &ckState{guarded: g != nil, coldCur: -1}
+	st.res.JumpRatio = math.NaN()
+	if g != nil {
+		st.gs.Attempts = 1
+	}
+	return &ckExec{ctx: ctx, input: input, cfg: cfg, opts: opts, g: g, ck: ck, st: st, cur: p,
+		collect: opts.CollectReports || g != nil || ck.Enabled()}
+}
+
+// save persists the full state through the runner; without a store it
+// returns before encoding anything.
 func (x *ckExec) save() error {
+	if !x.ck.Enabled() {
+		return nil
+	}
 	x.enc.Reset()
 	x.st.encode(&x.enc)
 	if err := x.ck.Save(spapStateVersion, x.enc.Bytes()); err != nil {
 		return err
 	}
-	if x.ck.Enabled() {
-		x.rs.Saves++
-	}
+	x.rs.Saves++
 	return nil
 }
 
@@ -305,44 +333,38 @@ func RunBaseAPSpAPCheckpointed(ctx context.Context, p *hotcold.Partition, input 
 // guard ladder (attempt count, widened layers, watchdog counters, batch
 // fallbacks) is part of the persisted state, so a run killed mid-attempt,
 // mid-batch, or mid-fallback resumes exactly where it was — including
-// re-entering BaseAP mode on an already-widened partition.
+// re-entering BaseAP mode on an already-widened partition. Like
+// RunGuarded it feeds Options.Calibrate once per call.
 func RunGuardedCheckpointed(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, g Guard, opts Options, ck *checkpoint.Runner) (*Result, error) {
 	g = g.withDefaults()
-	return runCheckpointed(ctx, p, input, cfg, &g, opts, ck)
+	res, err := runCheckpointed(ctx, p, input, cfg, &g, opts, ck)
+	calibrate(opts.Calibrate, res, len(input))
+	return res, err
 }
 
 func runCheckpointed(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, g *Guard, opts Options, ck *checkpoint.Runner) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	x := &ckExec{ctx: ctx, input: input, cfg: cfg, opts: opts, g: g, ck: ck, cur: p}
-	st := &ckState{guarded: g != nil, coldCur: -1}
-	st.res.JumpRatio = math.NaN()
-	if g != nil {
-		st.gs.Attempts = 1
+	x := newExec(ctx, p, input, cfg, g, opts, ck)
+	st := x.st
+	// The pre-flight verdict is a pure function of the caller's partition
+	// and the guard, so a resumed run recomputes it instead of reading
+	// it from the checkpoint.
+	var pf *Preflight
+	if g != nil && g.Preflight {
+		pf = PreflightPartition(p, *g, cfg.EnablePorts)
 	}
 	if payload, ver, fellback, err := ck.Load(); err == nil {
-		if ver != spapStateVersion {
-			return nil, fmt.Errorf("%w: spap state version %d, want %d", checkpoint.ErrMismatch, ver, spapStateVersion)
-		}
-		if derr := st.decode(payload); derr != nil {
-			return nil, derr
-		}
-		if st.guarded != (g != nil) {
-			return nil, fmt.Errorf("%w: checkpoint is for a %s run", checkpoint.ErrMismatch, map[bool]string{true: "guarded", false: "plain"}[st.guarded])
-		}
-		x.rs = ResumeStats{Resumed: true, Phase: phaseName(st.phase), Pos: st.pos, Recovered: fellback}
-		if st.k != nil {
-			np, berr := hotcold.Build(p.Net, p.Topo, st.k, hotcold.Options{})
-			if berr != nil {
-				return nil, fmt.Errorf("spap: rebuilding widened partition: %w", berr)
-			}
-			x.cur = np
+		if err := x.resume(payload, ver, fellback); err != nil {
+			return nil, err
 		}
 	} else if !errors.Is(err, checkpoint.ErrNoCheckpoint) {
 		return nil, err
+	} else if pf != nil {
+		x.preflight(pf)
 	}
-	x.st = st
+	st.gs.Preflight = pf
 
 	for {
 		var err error
@@ -353,10 +375,11 @@ func runCheckpointed(ctx context.Context, p *hotcold.Partition, input []byte, cf
 			err = x.runCold()
 		case ckPhaseFallback:
 			err = x.runFallback()
-		case ckPhaseDone:
-			return x.finish(nil)
 		default:
-			return nil, fmt.Errorf("%w: unknown phase %d", checkpoint.ErrMismatch, st.phase)
+			return x.finish(nil)
+		}
+		if errors.As(err, new(capacityError)) {
+			return nil, err
 		}
 		if err != nil {
 			return x.finish(err)
@@ -364,28 +387,125 @@ func runCheckpointed(ctx context.Context, p *hotcold.Partition, input []byte, cf
 	}
 }
 
-// finish assembles the caller-facing Result from the state machine,
-// mirroring the plain executors' epilogues: guarded runs sort the report
-// stream (fallback splicing breaks order), fault counters from aborted
-// attempts fold in, and the internal report list is trimmed when the
-// caller did not ask for it.
+// preflight applies the guard's static verdict to a fresh run: Safe
+// drops the watchdog (see runBase), sized layers start the first attempt
+// on the rebuilt partition, and Hopeless goes straight to the fallback
+// without a single BaseAP attempt.
+func (x *ckExec) preflight(pf *Preflight) {
+	st := x.st
+	switch {
+	case pf.Hopeless:
+		st.gs.Attempts = 0
+		st.gs.FallbackBaseline = true
+		st.phase = ckPhaseFallback
+	case pf.K != nil:
+		if np, err := hotcold.Build(x.cur.Net, x.cur.Topo, pf.K, hotcold.Options{}); err == nil {
+			x.cur, st.k = np, np.K
+			st.gs.Widened = true
+		}
+	}
+}
+
+// resume loads a stored record: version and guard-mode checks, the
+// ladder's current partition rebuilt from the persisted layers, and the
+// state validated against that partition and the input.
+func (x *ckExec) resume(payload []byte, ver uint32, fellback bool) error {
+	st := x.st
+	if ver != spapStateVersion {
+		return fmt.Errorf("%w: spap state version %d, want %d", checkpoint.ErrMismatch, ver, spapStateVersion)
+	}
+	if err := st.decode(payload); err != nil {
+		return err
+	}
+	if st.guarded != (x.g != nil) {
+		return fmt.Errorf("%w: checkpoint is for a %s run", checkpoint.ErrMismatch, map[bool]string{true: "guarded", false: "plain"}[st.guarded])
+	}
+	if st.k != nil {
+		if len(st.k) != x.cur.Net.NumNFAs() {
+			return fmt.Errorf("%w: checkpoint has %d partition layers for %d NFAs", checkpoint.ErrMismatch, len(st.k), x.cur.Net.NumNFAs())
+		}
+		np, err := hotcold.Build(x.cur.Net, x.cur.Topo, st.k, hotcold.Options{})
+		if err != nil {
+			return fmt.Errorf("spap: rebuilding widened partition: %w", err)
+		}
+		x.cur = np
+	}
+	if err := x.validate(); err != nil {
+		return fmt.Errorf("%w: spap checkpoint: %v", checkpoint.ErrMismatch, err)
+	}
+	x.rs = ResumeStats{Resumed: true, Phase: phaseName(st.phase), Pos: st.pos, Recovered: fellback}
+	return nil
+}
+
+// validate checks every decoded position and state ID the remaining
+// execution will index with.
+func (x *ckExec) validate() error {
+	st, p := x.st, x.cur
+	n := int64(len(x.input))
+	if st.phase > ckPhaseDone {
+		return fmt.Errorf("unknown phase %d", st.phase)
+	}
+	if st.pos < 0 || st.pos > n {
+		return fmt.Errorf("position %d outside the %d-symbol input", st.pos, n)
+	}
+	for _, r := range st.res.Reports {
+		if r.Pos < 0 || r.Pos > n || r.State < 0 || int(r.State) >= p.Net.Len() {
+			return fmt.Errorf("final report %+v outside the input or network", r)
+		}
+	}
+	for _, r := range st.inter {
+		// A replayed report is stepped at its own position: it must lie
+		// strictly inside the input.
+		if r.Pos < 0 || r.Pos >= n || r.Target < 0 || int(r.Target) >= len(p.ColdID) || p.ColdID[r.Target] == automata.None {
+			return fmt.Errorf("intermediate report %+v is not a cold state inside the input", r)
+		}
+	}
+	if st.phase != ckPhaseCold || p.Cold.Len() == 0 {
+		return nil
+	}
+	coldBatches, err := ap.PartitionNFAs(p.Cold, x.cfg.Capacity)
+	if err != nil {
+		return nil // runCold reports the capacity error
+	}
+	if st.coldDone != nil && len(st.coldDone) != len(coldBatches) {
+		return fmt.Errorf("%d completed-batch flags for %d cold batches", len(st.coldDone), len(coldBatches))
+	}
+	if !st.inBatch {
+		return nil
+	}
+	if st.coldCur < 0 || int(st.coldCur) >= len(coldBatches) {
+		return fmt.Errorf("in-flight batch %d of %d", st.coldCur, len(coldBatches))
+	}
+	if routed := routeReports(p, coldBatches, st.inter)[st.coldCur]; st.coldJ < 0 || st.coldJ > int64(len(routed)) {
+		return fmt.Errorf("report cursor %d past the batch's %d reports", st.coldJ, len(routed))
+	}
+	return nil
+}
+
+// finish assembles the caller-facing Result from the state machine:
+// guarded runs sort the report stream (fallback splicing breaks order),
+// fault counters from aborted attempts fold in, and the internal report
+// list is trimmed when the caller did not ask for it. The Result and its
+// GuardStats are copies, so a caller holding them does not keep the
+// machine state (intermediate-report list, snapshot buffers) alive.
 func (x *ckExec) finish(runErr error) (*Result, error) {
 	st := x.st
-	res := &st.res
+	res := st.res
 	if x.g != nil {
-		res.Guard = &st.gs
+		gs := st.gs
+		res.Guard = &gs
 	}
 	res.Fault.Add(st.acc)
-	// RunGuarded sorts the stream whenever the cold phase ran (fallback
-	// splicing breaks order); base-phase and fallback-phase exits leave
-	// stream order, which is already (pos, state)-sorted.
+	// Guarded runs sort the stream whenever the cold phase ran; base-phase
+	// and fallback-phase exits leave stream order, which is already
+	// (pos, state)-sorted.
 	if x.g != nil && (st.phase == ckPhaseCold || st.phase == ckPhaseDone) {
 		sortReports(res.Reports)
 	}
 	rs := x.rs
 	res.Resume = &rs
-	trimReports(res, x.opts)
-	return finalize(res, x.cfg), runErr
+	trimReports(&res, x.opts)
+	return finalize(&res, x.cfg), runErr
 }
 
 // resetAttempt zeroes all per-attempt state before a widened retry or the
@@ -404,16 +524,18 @@ func (x *ckExec) resetAttempt() {
 	st.wdStalls, st.wdFirstPos, st.wdHist = 0, 0, nil
 }
 
-// runBase is runBaseAPMode with checkpoints: the engine snapshot plus the
+// runBase executes the hot network in batches, separating final reports
+// from intermediate reports. With a store, the engine snapshot plus the
 // intermediate and final report lists are captured every Every symbols,
-// so a resumed attempt continues mid-stream. A guarded attempt restores
+// so a resumed attempt continues mid-stream; a guarded attempt restores
 // its watchdog counters too, keeping trip decisions identical to an
-// uninterrupted run.
+// uninterrupted run. On abort BaseAPCycles reflects the symbols actually
+// processed.
 func (x *ckExec) runBase() error {
 	st, res := x.st, &x.st.res
 	hotBatches, err := ap.PartitionNFAs(x.cur.Hot, x.cfg.Capacity)
 	if err != nil {
-		return fmt.Errorf("spap: hot network: %w", err)
+		return capacityError{fmt.Errorf("spap: hot network: %w", err)}
 	}
 	res.BaseAPBatches = len(hotBatches)
 	res.JumpRatio = math.NaN()
@@ -425,7 +547,9 @@ func (x *ckExec) runBase() error {
 		}
 	}
 	var wd *watchdog
-	if x.g != nil {
+	// A Safe pre-flight verdict proves the watchdog can never trip; skip
+	// its bookkeeping entirely.
+	if x.g != nil && (st.gs.Preflight == nil || !st.gs.Preflight.Safe) {
 		wd = &watchdog{g: *x.g, ports: x.cfg.EnablePorts,
 			stalls: st.wdStalls, firstPos: st.wdFirstPos, hist: st.wdHist}
 	}
@@ -439,7 +563,9 @@ func (x *ckExec) runBase() error {
 	eng.OnReport = func(pos int64, s automata.StateID) {
 		if orig := x.cur.HotOrig[s]; orig != automata.None {
 			res.NumReports++
-			res.Reports = append(res.Reports, sim.Report{Pos: pos, State: orig})
+			if x.collect {
+				res.Reports = append(res.Reports, sim.Report{Pos: pos, State: orig})
+			}
 			return
 		}
 		idx := st.interSeen
@@ -493,8 +619,9 @@ func (x *ckExec) runBase() error {
 	}
 	res.IntermediateReports = int64(len(st.inter))
 	res.BaseAPCycles = int64(len(hotBatches)) * n
-	// Engine emission is already position-ordered; the stable sort only
-	// guards the queue model (same as the plain path).
+	// The engine emits reports in cycle order (and ascending state order
+	// within a cycle), which Algorithm 1 permits: all same-position reports
+	// are enabled together. The stable sort only guards the queue model.
 	sort.SliceStable(st.inter, func(a, b int) bool { return st.inter[a].Pos < st.inter[b].Pos })
 	st.phase = ckPhaseCold
 	st.pos = 0
@@ -531,8 +658,14 @@ func (x *ckExec) handleTrip(wd *watchdog, processed int64) error {
 	return x.save()
 }
 
-// runCold is runSpAPMode (with the guarded pre-flight when applicable)
-// under checkpoints. Batch completion is the durability unit: coldDone
+// runCold executes the cold network in batches under Algorithm 1, each
+// batch driven by the intermediate reports routed to it. A guarded run
+// first pre-flights each batch: one whose report list predicts more
+// stalls than StallBudget × len(input) is not executed in SpAP mode; its
+// NFAs run un-split as baseline batches instead. Cold batches load
+// lazily: a batch that receives no reports is never configured.
+//
+// Under checkpoints batch completion is the durability unit: coldDone
 // marks finished batches, and the in-flight batch checkpoints its engine
 // snapshot plus report cursor every Every cycles. Per-batch baseline
 // fallbacks are atomic between saves — a crash inside one repeats just
@@ -545,7 +678,7 @@ func (x *ckExec) runCold() error {
 	}
 	coldBatches, err := ap.PartitionNFAs(x.cur.Cold, x.cfg.Capacity)
 	if err != nil {
-		return fmt.Errorf("spap: cold network: %w", err)
+		return capacityError{fmt.Errorf("spap: cold network: %w", err)}
 	}
 	res.ColdBatches = len(coldBatches)
 	if len(st.inter) == 0 {
@@ -612,12 +745,14 @@ func (x *ckExec) runCold() error {
 	return x.save()
 }
 
-// runSpAPBatch is Algorithm 1 with mid-batch checkpoints: the capture
-// cadence counts executed cycles (not input positions — jumps skip those)
-// and persists the engine snapshot, the report-list cursor, and the
-// partial batch stats. Stats fold into the Result only at completion (or
-// into the in-memory partial result on abort), so a mid-batch checkpoint
-// never double-counts.
+// runSpAPBatch is Algorithm 1. The whole cold network is simulated, driven
+// only by this batch's reports; because NFAs are independent, states
+// outside the batch are never enabled, so the result is identical to
+// simulating the batch alone. Mid-batch checkpoints count executed cycles
+// (not input positions — jumps skip those) and persist the engine
+// snapshot, the report-list cursor, and the partial batch stats. Stats
+// fold into the Result only at completion (or into the in-memory partial
+// result on abort), so a mid-batch checkpoint never double-counts.
 func (x *ckExec) runSpAPBatch(bi int, reports []IntermediateReport, resuming bool) error {
 	st, res := x.st, &x.st.res
 	eng := sim.AcquireEngine(x.cur.Cold, sim.Options{})
@@ -629,7 +764,9 @@ func (x *ckExec) runSpAPBatch(bi int, reports []IntermediateReport, resuming boo
 	}
 	eng.OnReport = func(pos int64, s automata.StateID) {
 		res.NumReports++
-		res.Reports = append(res.Reports, sim.Report{Pos: pos, State: x.cur.ColdOrig[s]})
+		if x.collect {
+			res.Reports = append(res.Reports, sim.Report{Pos: pos, State: x.cur.ColdOrig[s]})
+		}
 	}
 	inj := x.opts.Faults
 	active := inj.Active()
@@ -675,6 +812,10 @@ func (x *ckExec) runSpAPBatch(bi int, reports []IntermediateReport, resuming boo
 				res.Fault.Flips++
 			}
 		}
+		// Enable every report generated at this position. EnablePorts
+		// enables overlap with one symbol cycle; each additional full
+		// port-width of simultaneous reports stalls input processing for
+		// one cycle (Section V-B describes the 1-port design).
 		enabled := 0
 		for j < len(reports) && reports[j].Pos == i {
 			eng.EnableState(x.cur.ColdID[reports[j].Target])
@@ -695,15 +836,16 @@ func (x *ckExec) runSpAPBatch(bi int, reports []IntermediateReport, resuming boo
 	return nil
 }
 
-// runFallback is baselineFallback with checkpoints: one plain engine pass
-// over the whole network, snapshotted every Every symbols. FallbackCycles
+// runFallback runs the whole original network as plain baseline batches,
+// snapshotted every Every symbols under a store; the entire cost lands in
+// GuardStats.FallbackCycles (plus the already-recorded WastedCycles). It
 // is assigned (not accumulated) from symbols processed, so resumes cannot
 // double-count it.
 func (x *ckExec) runFallback() error {
 	st, res := x.st, &x.st.res
 	batches, err := ap.PartitionNFAs(x.cur.Net, x.cfg.Capacity)
 	if err != nil {
-		return err
+		return capacityError{err}
 	}
 	if st.pos == 0 {
 		if err := loadConfigs(x.opts.Faults, &res.Fault, 0, len(batches)); err != nil {

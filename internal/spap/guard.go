@@ -26,13 +26,10 @@ package spap
 
 import (
 	"context"
-	"errors"
-	"math"
 	"sort"
 
 	"sparseap/internal/ap"
 	"sparseap/internal/automata"
-	"sparseap/internal/fault"
 	"sparseap/internal/hotcold"
 	"sparseap/internal/hotness"
 	"sparseap/internal/lint"
@@ -113,7 +110,7 @@ func (g Guard) withDefaults() Guard {
 	return g
 }
 
-// GuardStats records what the guard did during one RunGuarded call.
+// GuardStats records what the guard did during one guarded run.
 type GuardStats struct {
 	// Attempts counts BaseAP-mode attempts (1 = no trip ever).
 	Attempts int
@@ -138,10 +135,6 @@ type GuardStats struct {
 	// Preflight is the static pre-flight verdict (Guard.Preflight only).
 	Preflight *Preflight
 }
-
-// errGuardTripped aborts BaseAP mode internally; it never escapes
-// RunGuarded.
-var errGuardTripped = errors.New("spap: guard watchdog tripped")
 
 // watchdogStride is how often the watchdog checkpoints its counters for
 // the recent-window rate; watchdogWindow is the window length in symbols.
@@ -242,91 +235,29 @@ func (w *watchdog) isTripped() bool { return w.tripped }
 // preserved in every path. On cancellation the partial result is returned
 // with ctx.Err().
 func RunGuarded(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, g Guard, opts Options) (*Result, error) {
-	res, err := runGuarded(ctx, p, input, cfg, g, opts)
-	// Close the static-prediction loop: every intermediate report is a
-	// hot→cold boundary crossing the partition cut failed to keep hot, so
-	// the guarded run's outcome is exactly the misprediction evidence the
-	// hotness calibrator consumes.
-	if opts.Calibrate != nil && res != nil && res.Guard != nil {
-		fb := hotness.Feedback{
-			Mispredicts: int(res.IntermediateReports),
-			Symbols:     len(input),
-			Trips:       res.Guard.Trips,
-		}
-		if res.Guard.Widened {
-			fb.Widened = 1
-		}
-		if res.Guard.FallbackBaseline {
-			fb.FallbackBaseline = 1
-		}
-		opts.Calibrate.Observe(fb)
-	}
-	return res, err
+	return withoutResume(RunGuardedCheckpointed(ctx, p, input, cfg, g, opts, nil))
 }
 
-func runGuarded(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, g Guard, opts Options) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// calibrate closes the static-prediction loop: every intermediate report
+// is a hot→cold boundary crossing the partition cut failed to keep hot,
+// so a guarded run's outcome is exactly the misprediction evidence the
+// hotness calibrator consumes.
+func calibrate(cal *hotness.Calibrator, res *Result, symbols int) {
+	if cal == nil || res == nil || res.Guard == nil {
+		return
 	}
-	g = g.withDefaults()
-	gs := &GuardStats{}
-	inner := opts
-	inner.CollectReports = true // per-batch fallback splices report lists
-	var acc fault.Stats         // fault counters from aborted attempts
-	cur := p
-	if g.Preflight {
-		pf := PreflightPartition(p, g, cfg.EnablePorts)
-		gs.Preflight = pf
-		if pf.Hopeless {
-			gs.FallbackBaseline = true
-			return baselineFallback(ctx, p, input, cfg, opts, gs, acc)
-		}
-		if pf.K != nil {
-			if np, err := hotcold.Build(p.Net, p.Topo, pf.K, hotcold.Options{}); err == nil {
-				cur = np
-				gs.Widened = true
-			}
-		}
+	fb := hotness.Feedback{
+		Mispredicts: int(res.IntermediateReports),
+		Symbols:     symbols,
+		Trips:       res.Guard.Trips,
 	}
-	for {
-		gs.Attempts++
-		wd := &watchdog{g: g, ports: cfg.EnablePorts}
-		if gs.Preflight != nil && gs.Preflight.Safe {
-			// The static bound proves the watchdog can never trip; skip
-			// its bookkeeping entirely.
-			wd = nil
-		}
-		res, inter, err := runBaseAPMode(ctx, cur, input, cfg, inner, wd)
-		if errors.Is(err, errGuardTripped) {
-			gs.Trips++
-			gs.TripPos = append(gs.TripPos, wd.pos)
-			gs.WastedCycles += res.BaseAPCycles
-			acc.Add(res.Fault)
-			if gs.Attempts-1 < g.MaxRetries && !wd.hopeless() {
-				if np, ok := widenPartition(cur, g.WidenFactor); ok {
-					gs.Widened = true
-					cur = np
-					continue
-				}
-			}
-			gs.FallbackBaseline = true
-			return baselineFallback(ctx, cur, input, cfg, opts, gs, acc)
-		}
-		if err != nil {
-			if res != nil {
-				res.Guard = gs
-				res.Fault.Add(acc)
-				trimReports(res, opts)
-			}
-			return finalize(res, cfg), err
-		}
-		err = runColdGuarded(ctx, cur, input, cfg, inner, res, inter, g, gs)
-		res.Guard = gs
-		res.Fault.Add(acc)
-		sortReports(res.Reports)
-		trimReports(res, opts)
-		return finalize(res, cfg), err
+	if res.Guard.Widened {
+		fb.Widened = 1
 	}
+	if res.Guard.FallbackBaseline {
+		fb.FallbackBaseline = 1
+	}
+	cal.Observe(fb)
 }
 
 // widenPartition rebuilds the partition with every NFA's layer multiplied
@@ -355,25 +286,6 @@ func widenPartition(p *hotcold.Partition, factor int32) (*hotcold.Partition, boo
 	return np, true
 }
 
-// baselineFallback runs the whole original network as plain baseline
-// batches; the entire cost lands in GuardStats.FallbackCycles (plus the
-// already-recorded WastedCycles).
-func baselineFallback(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, opts Options, gs *GuardStats, acc fault.Stats) (*Result, error) {
-	batches, err := ap.PartitionNFAs(p.Net, cfg.Capacity)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{JumpRatio: math.NaN(), Guard: gs, Fault: acc}
-	if err := loadConfigs(opts.Faults, &res.Fault, 0, len(batches)); err != nil {
-		return finalize(res, cfg), err
-	}
-	sres, err := sim.RunContext(ctx, p.Net, input, sim.Options{CollectReports: opts.CollectReports})
-	res.NumReports = sres.NumReports
-	res.Reports = sres.Reports
-	gs.FallbackCycles = int64(len(batches)) * sres.Symbols
-	return finalize(res, cfg), err
-}
-
 // predictStalls computes, exactly, the enable stalls Algorithm 1 will pay
 // to replay this (position-sorted) report list through a batch.
 func predictStalls(reports []IntermediateReport, ports int) int64 {
@@ -389,57 +301,6 @@ func predictStalls(reports []IntermediateReport, ports int) int64 {
 		i = j
 	}
 	return stalls
-}
-
-// runColdGuarded is runSpAPMode with a pre-flight: a batch whose report
-// list predicts more stalls than StallBudget × len(input) is not executed
-// in SpAP mode; its NFAs run un-split as baseline batches instead.
-func runColdGuarded(ctx context.Context, p *hotcold.Partition, input []byte, cfg ap.Config, opts Options, res *Result, inter []IntermediateReport, g Guard, gs *GuardStats) error {
-	if p.Cold.Len() == 0 {
-		return nil
-	}
-	coldBatches, err := ap.PartitionNFAs(p.Cold, cfg.Capacity)
-	if err != nil {
-		return err
-	}
-	res.ColdBatches = len(coldBatches)
-	if len(inter) == 0 {
-		return nil
-	}
-	perBatch := routeReports(p, coldBatches, inter)
-	stallCap := int64(g.StallBudget * float64(len(input)))
-	for bi, reports := range perBatch {
-		if len(reports) == 0 {
-			continue
-		}
-		if cancelled(ctx) {
-			return ctx.Err()
-		}
-		if predictStalls(reports, cfg.EnablePorts) > stallCap {
-			if err := batchFallback(ctx, p, input, cfg, opts, res, coldBatches[bi], gs); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := loadConfigs(opts.Faults, &res.Fault, res.BaseAPBatches+bi, 1); err != nil {
-			return err
-		}
-		res.SpAPExecutions++
-		st, err := runSpAPBatch(ctx, p, input, reports, cfg, opts, res)
-		res.SpAPBatchCycles = append(res.SpAPBatchCycles, st.cycles)
-		res.SpAPCycles += st.cycles
-		res.SpAPProcessed += st.cycles - st.stalls
-		res.EnableStalls += st.stalls
-		res.QueueRefills += st.refills
-		if err != nil {
-			return err
-		}
-	}
-	if res.SpAPExecutions > 0 {
-		denom := float64(res.SpAPExecutions) * float64(len(input))
-		res.JumpRatio = 1 - float64(res.SpAPProcessed)/denom
-	}
-	return nil
 }
 
 // batchFallback replaces one SpAP batch with baseline batched execution of

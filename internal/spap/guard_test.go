@@ -22,7 +22,7 @@ import (
 // then produces `starts` simultaneous intermediate reports — both the
 // report density and the enable-stall rate sit far over any sane budget.
 // The input cycles through the range.
-func buildStorm(t *testing.T, starts int, span byte, inputLen int) (*hotcold.Partition, []byte) {
+func buildStorm(t testing.TB, starts int, span byte, inputLen int) (*hotcold.Partition, []byte) {
 	t.Helper()
 	m := automata.NewNFA()
 	var wide symset.Set

@@ -44,7 +44,7 @@ func reportsEqual(a, b []sim.Report) bool {
 }
 
 // buildPartition partitions net at the profiled layers for profInput.
-func buildPartition(t *testing.T, net *automata.Network, profInput []byte) *hotcold.Partition {
+func buildPartition(t testing.TB, net *automata.Network, profInput []byte) *hotcold.Partition {
 	t.Helper()
 	p, err := hotcold.BuildFromProfile(net, profInput, hotcold.Options{})
 	if err != nil {

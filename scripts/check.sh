@@ -6,7 +6,7 @@
 #
 # Steps: gofmt, go vet, staticcheck and govulncheck (when installed),
 # build, full test suite, race-detector pass over the whole module, a fuzz
-# smoke pass over the parser/compiler/rewriter fuzz targets, the
+# smoke pass over the parser/compiler/rewriter/spap-resume fuzz targets, the
 # fault-injection smoke sweep, a chaos-soak smoke cell (kill/resume with
 # stream comparison), a serve-soak smoke cell (real SIGKILL of a live
 # apserve with resumed streams), a cluster-soak smoke cell (SIGKILL of a
@@ -71,10 +71,13 @@ fi
 if [[ $short -eq 0 ]]; then
     # Fuzz smoke: a few seconds per target catches regressions in the
     # corpus-seeded paths without turning the gate into a fuzz campaign.
-    echo "== fuzz smoke (parser, compiler, rewriter) =="
+    echo "== fuzz smoke (parser, compiler, rewriter, spap resume) =="
     go test -run ZZZ -fuzz FuzzParseANML -fuzztime 5s ./internal/anml
     go test -run ZZZ -fuzz FuzzCompileRegex -fuzztime 5s ./internal/regexc
     go test -run ZZZ -fuzz FuzzRewriteEquivalence -fuzztime 10s ./internal/rewrite
+    # Checkpoint records are kilobytes long; the default 60 s minimization
+    # of each new interesting input would eat the whole smoke budget.
+    go test -run ZZZ -fuzz FuzzSpAPResume -fuzztime 10s -fuzzminimizetime 1s ./internal/spap
 fi
 
 if [[ $short -eq 0 ]]; then
