@@ -33,8 +33,10 @@
 package hotness
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
+	"slices"
 
 	"sparseap/internal/automata"
 	"sparseap/internal/bitvec"
@@ -293,12 +295,14 @@ func (a *Analysis) fixpoint() {
 		c := scc.Comp[s]
 		members[c] = append(members[c], automata.StateID(s))
 	}
-	order := make([]int32, 0, scc.NumComps)
-	for c := int32(0); c < int32(scc.NumComps); c++ {
-		order = append(order, c)
+	order := make([]int32, scc.NumComps)
+	layer := make([]int32, scc.NumComps)
+	for c := range order {
+		order[c] = int32(c)
+		layer[c] = a.Topo.Order[members[c][0]]
 	}
-	layerOf := func(c int32) int32 { return a.Topo.Order[members[c][0]] }
-	sortInt32By(order, layerOf)
+	// Stable, so components of one layer keep ascending ID order.
+	slices.SortStableFunc(order, func(x, y int32) int { return cmp.Compare(layer[x], layer[y]) })
 
 	drive := func(s automata.StateID) float64 {
 		switch n.States[s].Start {
@@ -342,16 +346,6 @@ func (a *Analysis) fixpoint() {
 			if delta <= a.Cfg.Epsilon {
 				break
 			}
-		}
-	}
-}
-
-// sortInt32By is an insertion sort (component counts are modest and the
-// input is already nearly sorted by construction order).
-func sortInt32By(xs []int32, key func(int32) int32) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && key(xs[j]) < key(xs[j-1]); j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
 }

@@ -283,3 +283,58 @@ func TestScoreMonotoneInThresholdSense(t *testing.T) {
 		}
 	}
 }
+
+func TestFixpointOrdersComponentsByLayer(t *testing.T) {
+	// start(a..p) -> {x(a..d), y(a..h)} -> join(ab) -> rep(z). Tarjan
+	// numbers sink components first, so component IDs descend with the
+	// layer and x and y tie on layer 2: the ordering must reverse the IDs
+	// and keep the tie, or a state is evaluated before its predecessors.
+	m := automata.NewNFA()
+	s0 := m.Add(symset.Range('a', 'p'), automata.StartAllInput, false)
+	x := m.Add(symset.Range('a', 'd'), automata.StartNone, false)
+	y := m.Add(symset.Range('a', 'h'), automata.StartNone, false)
+	join := m.Add(symset.Of('a', 'b'), automata.StartNone, false)
+	rep := m.Add(symset.Single('z'), automata.StartNone, true)
+	m.Connect(s0, x)
+	m.Connect(s0, y)
+	m.Connect(x, join)
+	m.Connect(y, join)
+	m.Connect(join, rep)
+	net := automata.NewNetwork(m)
+	// Horizon 1 keeps every score below the clamp at 1.
+	a := Analyze(net, Config{Horizon: 1})
+
+	comp, order := a.Topo.SCC.Comp, a.Topo.Order
+	if !(comp[s0] > comp[x] && comp[x] < comp[y] && comp[y] > comp[join] && comp[join] > comp[rep]) ||
+		order[x] != order[y] {
+		t.Fatalf("fixture lost its shape: comps %v, layers %v", comp, order)
+	}
+
+	// Live alphabet a..p ∪ z = 17 symbols; layers 1, 2, 2, 3, 4.
+	q := []float64{16.0 / 17, 4.0 / 17, 8.0 / 17, 2.0 / 17, 1.0 / 17}
+	act := make([]float64, 5)
+	act[s0] = q[s0]
+	act[x] = act[s0] * q[x]
+	act[y] = act[s0] * q[y]
+	act[join] = (act[x] + act[y]) * q[join]
+	act[rep] = act[join] * q[rep]
+	// DefaultWeights: activity 1, depth 0.10, width 0.05, fan-in and
+	// fan-out 0.02 each; depth is layer / 4, no state is cyclic.
+	sat := func(v float64) float64 { return v / (v + 1) }
+	sq := func(d float64) float64 { return d / (d + 8) }
+	score := []float64{
+		sat(act[s0]) + 0.10*(1-1.0/4) + 0.05*q[s0] + 0.02*sq(0) + 0.02*sq(2),
+		sat(act[x]) + 0.10*(1-2.0/4) + 0.05*q[x] + 0.02*sq(1) + 0.02*sq(1),
+		sat(act[y]) + 0.10*(1-2.0/4) + 0.05*q[y] + 0.02*sq(1) + 0.02*sq(1),
+		sat(act[join]) + 0.10*(1-3.0/4) + 0.05*q[join] + 0.02*sq(2) + 0.02*sq(1),
+		sat(act[rep]) + 0.10*(1-4.0/4) + 0.05*q[rep] + 0.02*sq(1) + 0.02*sq(0),
+	}
+	for s := range act {
+		if math.Abs(a.Activity[s]-act[s]) > 1e-12 {
+			t.Errorf("Activity[%d] = %g, want %g", s, a.Activity[s], act[s])
+		}
+		if math.Abs(a.Score[s]-score[s]) > 1e-12 {
+			t.Errorf("Score[%d] = %g, want %g", s, a.Score[s], score[s])
+		}
+	}
+}

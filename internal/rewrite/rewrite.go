@@ -15,8 +15,9 @@
 package rewrite
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sparseap/internal/automata"
 	"sparseap/internal/dataflow"
@@ -391,6 +392,7 @@ func (p *plan) planSubsumption() {
 	}
 	groups := make(map[string][]member)
 	keyBuf := make([]byte, 0, 64)
+	var ps []automata.StateID
 	order := make([]string, 0, 64)
 	for s := 0; s < net.Len(); s++ {
 		if p.removed[s] {
@@ -398,8 +400,8 @@ func (p *plan) planSubsumption() {
 		}
 		id := automata.StateID(s)
 		m := member{id: id}
-		ps := append([]automata.StateID(nil), preds[s]...)
-		sort.Slice(ps, func(a, b int) bool { return ps[a] < ps[b] })
+		ps = append(ps[:0], preds[s]...)
+		slices.Sort(ps)
 		keyBuf = keyBuf[:0]
 		last := automata.None
 		for _, q := range ps {
@@ -419,7 +421,7 @@ func (p *plan) planSubsumption() {
 			}
 			m.succ = append(m.succ, v)
 		}
-		sort.Slice(m.succ, func(a, b int) bool { return m.succ[a] < m.succ[b] })
+		slices.Sort(m.succ)
 		k := string(keyBuf)
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
@@ -428,8 +430,8 @@ func (p *plan) planSubsumption() {
 	}
 
 	contains := func(sorted []automata.StateID, x automata.StateID) bool {
-		i := sort.Search(len(sorted), func(i int) bool { return sorted[i] >= x })
-		return i < len(sorted) && sorted[i] == x
+		_, ok := slices.BinarySearch(sorted, x)
+		return ok
 	}
 	pinned := make(map[automata.StateID]bool) // used as a subsumer; must survive
 	for _, k := range order {
@@ -491,92 +493,22 @@ func (p *plan) planSubsumption() {
 // emitted as a certificate; classes with ≥2 kept members become merges
 // unless the capacity guard demotes them.
 func (p *plan) planMerge() {
-	net := p.net
-	preds := net.Preds()
-	alpha := p.opts.alphabet()
-	n := net.Len()
+	n := p.net.Len()
 	if n == 0 {
 		return
 	}
-
-	group := make([]int32, n)
-	type initKey struct {
-		match  symset.Set
-		start  automata.StartKind
-		unique int32 // state ID for reporting states, -1 otherwise
-	}
-	index := make(map[initKey]int32)
-	var nGroups int32
-	for s := 0; s < n; s++ {
-		st := &net.States[s]
-		k := initKey{match: st.Match.Intersect(alpha), start: st.Start, unique: -1}
-		if st.Report {
-			k.unique = int32(s)
-		}
-		g, ok := index[k]
-		if !ok {
-			g = nGroups
-			nGroups++
-			index[k] = g
-		}
-		group[s] = g
-	}
-	for {
-		type refineKey struct {
-			old   int32
-			preds string
-		}
-		next := make(map[refineKey]int32)
-		newGroup := make([]int32, n)
-		var n2 int32
-		buf := make([]int32, 0, 8)
-		for s := 0; s < n; s++ {
-			rk := refineKey{old: group[s]}
-			if net.States[s].Start != automata.StartAllInput {
-				buf = buf[:0]
-				for _, q := range preds[s] {
-					if p.facts.Unreachable(q) {
-						continue // never fires; cannot affect enabling
-					}
-					buf = append(buf, group[q])
-				}
-				sort.Slice(buf, func(a, b int) bool { return buf[a] < buf[b] })
-				key := make([]byte, 0, 4*len(buf))
-				var last int32 = -1
-				for _, g := range buf {
-					if g == last {
-						continue // sets, not multisets
-					}
-					last = g
-					key = append(key, byte(g), byte(g>>8), byte(g>>16), byte(g>>24))
-				}
-				rk.preds = string(key)
-			}
-			g, ok := next[rk]
-			if !ok {
-				g = n2
-				n2++
-				next[rk] = g
-			}
-			newGroup[s] = g
-		}
-		if n2 == nGroups {
-			break
-		}
-		group = newGroup
-		nGroups = n2
-	}
+	label, nLabels := p.bisimPartition()
 
 	// Emit the full partition's multi-member classes as certificates —
 	// the checker needs every non-singleton class to verify stability,
 	// including classes of deleted states and classes the guard demotes.
-	members := make([][]automata.StateID, nGroups)
+	members := make([][]automata.StateID, nLabels)
 	for s := 0; s < n; s++ {
-		members[group[s]] = append(members[group[s]], automata.StateID(s))
+		members[label[s]] = append(members[label[s]], automata.StateID(s))
 	}
 	var candidates [][]automata.StateID // kept members, ≥2, ascending
 	for s := 0; s < n; s++ {            // first-member order, deterministic
-		g := group[s]
+		g := label[s]
 		if members[g] == nil || members[g][0] != automata.StateID(s) || len(members[g]) < 2 {
 			continue
 		}
@@ -592,6 +524,163 @@ func (p *plan) planMerge() {
 		}
 	}
 	p.applyGuard(candidates)
+}
+
+// bisimPartition computes the coarsest stable partition behind
+// planMerge and returns each state's class label and the label count.
+// The initial partition groups states by alphabet-restricted match,
+// start kind and, for reporting states, identity. Each round then splits
+// every class by the set of classes of its firing predecessors (empty
+// for all-input starts), until a round splits nothing.
+//
+// Rounds are worklist-driven, so a round costs only the states it
+// re-keys rather than the whole network. Labels are stable: a split
+// class keeps its label on one part and the other parts take fresh
+// labels. Only a state with a firing predecessor that took a fresh label
+// in the previous round can have a new predecessor key; it is dirty.
+// Every other member of its class is clean and still shares the key the
+// class was formed on, and no dirty member can share that key, because
+// it holds a label that did not exist when the class was formed. A
+// round therefore groups each touched class's dirty members by key,
+// lets the clean members (or, with none, the largest dirty group) keep
+// the label, and applies the new labels only after every dirty state is
+// keyed. Each round thus yields exactly the partition a full re-key of
+// all states would, and the fixed point is the same coarsest partition.
+func (p *plan) bisimPartition() ([]int32, int32) {
+	net := p.net
+	preds := net.Preds()
+	alpha := p.opts.alphabet()
+	n := net.Len()
+
+	label := make([]int32, n)
+	var size []int32 // members per label
+	type initKey struct {
+		match  symset.Set
+		start  automata.StartKind
+		unique int32 // state ID for reporting states, -1 otherwise
+	}
+	index := make(map[initKey]int32)
+	for s := 0; s < n; s++ {
+		st := &net.States[s]
+		k := initKey{match: st.Match.Intersect(alpha), start: st.Start, unique: -1}
+		if st.Report {
+			k.unique = int32(s)
+		}
+		g, ok := index[k]
+		if !ok {
+			g = int32(len(size))
+			index[k] = g
+			size = append(size, 0)
+		}
+		label[s] = g
+		size[g]++
+	}
+
+	// Round 0 keys every state the predecessor condition applies to.
+	keyed := func(s automata.StateID) bool { return net.States[s].Start != automata.StartAllInput }
+	var dirty []automata.StateID
+	for s := 0; s < n; s++ {
+		if keyed(automata.StateID(s)) {
+			dirty = append(dirty, automata.StateID(s))
+		}
+	}
+	type entry struct {
+		s        automata.StateID
+		label    int32 // before the round; the fresh label once split off
+		off, end int32 // key span in keys
+	}
+	var (
+		entries []entry
+		keys    []int32
+		groups  [][2]int
+		next    []automata.StateID
+		queued  = make([]bool, n)
+	)
+	for len(dirty) > 0 {
+		entries, keys = entries[:0], keys[:0]
+		for _, s := range dirty {
+			queued[s] = false
+			off := len(keys)
+			for _, q := range preds[s] {
+				if !p.facts.Unreachable(q) { // never fires; cannot affect enabling
+					keys = append(keys, label[q])
+				}
+			}
+			k := keys[off:]
+			slices.Sort(k)
+			keys = keys[:off+len(slices.Compact(k))] // sets, not multisets
+			entries = append(entries, entry{s: s, label: label[s], off: int32(off), end: int32(len(keys))})
+		}
+		key := func(e entry) []int32 { return keys[e.off:e.end] }
+		slices.SortFunc(entries, func(a, b entry) int {
+			if c := cmp.Compare(a.label, b.label); c != 0 {
+				return c
+			}
+			return slices.Compare(key(a), key(b))
+		})
+
+		for i := 0; i < len(entries); {
+			g := entries[i].label
+			j := i
+			for j < len(entries) && entries[j].label == g {
+				j++
+			}
+			groups = groups[:0] // [start, end) runs of equal key
+			for a := i; a < j; {
+				b := a + 1
+				for b < j && slices.Equal(key(entries[a]), key(entries[b])) {
+					b++
+				}
+				groups = append(groups, [2]int{a, b})
+				a = b
+			}
+			// The clean members keep the label; with none, the largest
+			// dirty group keeps it (the first on ties), which relabels
+			// the fewest states and so dirties the fewest successors.
+			keeper := -1
+			if int(size[g]) == j-i {
+				keeper = 0
+				for x, r := range groups {
+					if r[1]-r[0] > groups[keeper][1]-groups[keeper][0] {
+						keeper = x
+					}
+				}
+			}
+			for x, r := range groups {
+				if x == keeper {
+					continue
+				}
+				fresh := int32(len(size))
+				size = append(size, int32(r[1]-r[0]))
+				size[g] -= int32(r[1] - r[0])
+				for e := r[0]; e < r[1]; e++ {
+					entries[e].label = fresh
+				}
+			}
+			i = j
+		}
+
+		// Apply the round's fresh labels; the states that took one make
+		// their successors dirty.
+		next = next[:0]
+		for _, e := range entries {
+			if label[e.s] == e.label {
+				continue
+			}
+			label[e.s] = e.label
+			if p.facts.Unreachable(e.s) {
+				continue // ignored by every successor's key
+			}
+			for _, v := range net.States[e.s].Succ {
+				if keyed(v) && !queued[v] {
+					queued[v] = true
+					next = append(next, v)
+				}
+			}
+		}
+		dirty, next = next, dirty
+	}
+	return label, int32(len(size))
 }
 
 // applyGuard applies merge candidates subject to the capacity guard:
@@ -795,7 +884,7 @@ func (p *plan) apply() (*automata.Network, []automata.StateID, []automata.StateI
 		for v := range set {
 			succ = append(succ, v)
 		}
-		sort.Slice(succ, func(a, b int) bool { return succ[a] < succ[b] })
+		slices.Sort(succ)
 		out.States[k].Succ = succ
 	}
 	// Full original→new map: deleted → None, merged → representative.

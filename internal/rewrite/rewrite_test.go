@@ -10,12 +10,14 @@
 package rewrite_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"sparseap/internal/automata"
+	"sparseap/internal/dataflow"
 	"sparseap/internal/rewrite"
 	"sparseap/internal/sim"
 	"sparseap/internal/symset"
@@ -444,4 +446,186 @@ func FuzzRewriteEquivalence(f *testing.F) {
 		checkEquivalent(t, net, res, input, symset.Set{})
 		checkIdempotent(t, res, rewrite.Options{})
 	})
+}
+
+// referencePartition is the plain refinement planMerge must reproduce:
+// every round re-keys every state by its old class and the set of
+// classes of its firing predecessors (all-input starts: none), and the
+// rounds stop once a round splits nothing.
+func referencePartition(net *automata.Network, alphabet symset.Set) []int32 {
+	facts := dataflow.Analyze(net, alphabet)
+	alpha := alphabet
+	if alpha.IsEmpty() {
+		alpha = symset.All()
+	}
+	preds := net.Preds()
+	n := net.Len()
+	group := make([]int32, n)
+	type initKey struct {
+		match  symset.Set
+		start  automata.StartKind
+		unique int32
+	}
+	index := make(map[initKey]int32)
+	var nGroups int32
+	for s := 0; s < n; s++ {
+		st := &net.States[s]
+		k := initKey{match: st.Match.Intersect(alpha), start: st.Start, unique: -1}
+		if st.Report {
+			k.unique = int32(s)
+		}
+		g, ok := index[k]
+		if !ok {
+			g = nGroups
+			nGroups++
+			index[k] = g
+		}
+		group[s] = g
+	}
+	for {
+		type refineKey struct {
+			old   int32
+			preds string
+		}
+		next := make(map[refineKey]int32)
+		newGroup := make([]int32, n)
+		var n2 int32
+		for s := 0; s < n; s++ {
+			rk := refineKey{old: group[s]}
+			if net.States[s].Start != automata.StartAllInput {
+				var buf []int32
+				for _, q := range preds[s] {
+					if !facts.Unreachable(q) {
+						buf = append(buf, group[q])
+					}
+				}
+				sort.Slice(buf, func(a, b int) bool { return buf[a] < buf[b] })
+				var key []byte
+				var last int32 = -1
+				for _, g := range buf {
+					if g != last {
+						last = g
+						key = append(key, byte(g), byte(g>>8), byte(g>>16), byte(g>>24))
+					}
+				}
+				rk.preds = string(key)
+			}
+			g, ok := next[rk]
+			if !ok {
+				g = n2
+				n2++
+				next[rk] = g
+			}
+			newGroup[s] = g
+		}
+		if n2 == nGroups {
+			return group
+		}
+		group = newGroup
+		nGroups = n2
+	}
+}
+
+// checkSamePartition asserts two labelings induce the same partition,
+// whatever the label numbers.
+func checkSamePartition(t *testing.T, what string, got, want []int32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d labels, want %d", what, len(got), len(want))
+	}
+	fwd := make(map[int32]int32)
+	back := make(map[int32]int32)
+	for s := range got {
+		g, okG := fwd[got[s]]
+		w, okW := back[want[s]]
+		if (okG && g != want[s]) || (okW && w != got[s]) {
+			t.Fatalf("%s: state %d is classed apart from the reference (label %d, reference %d)", what, s, got[s], want[s])
+		}
+		fwd[got[s]] = want[s]
+		back[want[s]] = got[s]
+	}
+}
+
+// chainHeavyNet generates a network of long, sparsely cross-linked
+// chains over one or two match sets. Its bisimulation classes split
+// one layer per round, so the refinement runs many rounds in which
+// most states are clean.
+func chainHeavyNet(r *rand.Rand) *automata.Network {
+	var nfas []*automata.NFA
+	for i := 1 + r.Intn(3); i > 0; i-- {
+		m := automata.NewNFA()
+		n := 20 + r.Intn(60)
+		for s := 0; s < n; s++ {
+			match := symset.Single('a')
+			if r.Intn(8) == 0 {
+				match = symset.Of('a', 'b')
+			}
+			start := automata.StartNone
+			if s == 0 || r.Intn(20) == 0 {
+				start = automata.StartAllInput
+			}
+			m.Add(match, start, r.Intn(25) == 0)
+			if s > 0 {
+				m.Connect(automata.StateID(s-1), automata.StateID(s))
+			}
+		}
+		for e := r.Intn(n / 4); e > 0; e-- {
+			m.Connect(automata.StateID(r.Intn(n)), automata.StateID(r.Intn(n)))
+		}
+		nfas = append(nfas, m)
+	}
+	return automata.NewNetwork(nfas...)
+}
+
+// TestBisimPartitionMatchesReference checks the worklist refinement
+// against referencePartition on random networks — under the full and
+// restricted alphabets, with unreachable predecessors and all-input
+// starts — on every network a rewrite of them consumes, and on the
+// whole suite.
+func TestBisimPartitionMatchesReference(t *testing.T) {
+	alphabets := []symset.Set{{}, symset.Range('a', 'c'), symset.Of('a', 'c', 'e')}
+	var unreachablePreds, allInputStarts int
+	check := func(what string, net *automata.Network, alphabet symset.Set) {
+		checkSamePartition(t, what, rewrite.BisimPartition(net, alphabet), referencePartition(net, alphabet))
+		facts := dataflow.Analyze(net, alphabet)
+		for s := range net.States {
+			if net.States[s].Start == automata.StartAllInput {
+				allInputStarts++
+			}
+			for _, v := range net.States[s].Succ {
+				if facts.Unreachable(automata.StateID(s)) && !facts.Unreachable(v) {
+					unreachablePreds++
+				}
+			}
+		}
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		for gen, net := range []*automata.Network{
+			randNet(rand.New(rand.NewSource(seed))),
+			chainHeavyNet(rand.New(rand.NewSource(seed))),
+		} {
+			for ai, alphabet := range alphabets {
+				what := fmt.Sprintf("seed %d generator %d alphabet %d", seed, gen, ai)
+				check(what, net, alphabet)
+				res, err := rewrite.Rewrite(net, rewrite.Options{Alphabet: alphabet})
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				for i, rd := range res.Rounds[min(1, len(res.Rounds)):] {
+					check(fmt.Sprintf("%s round %d", what, i+2), rd.Input, alphabet)
+				}
+			}
+		}
+	}
+	if unreachablePreds == 0 || allInputStarts == 0 {
+		t.Fatalf("generators missed a case: %d unreachable predecessors, %d all-input starts", unreachablePreds, allInputStarts)
+	}
+
+	apps, err := workloads.BuildAll(suiteConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range apps {
+		checkSamePartition(t, app.Abbr, rewrite.BisimPartition(app.Net, symset.Set{}), referencePartition(app.Net, symset.Set{}))
+	}
 }

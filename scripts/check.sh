@@ -5,13 +5,14 @@
 #   scripts/check.sh -short    # skip the race pass (quick pre-commit loop)
 #
 # Steps: gofmt, go vet, staticcheck and govulncheck (when installed),
-# build, full test suite, race-detector pass over the whole module, a fuzz
-# smoke pass over the parser/compiler/rewriter/spap-resume fuzz targets, the
-# fault-injection smoke sweep, a chaos-soak smoke cell (kill/resume with
-# stream comparison), a serve-soak smoke cell (real SIGKILL of a live
-# apserve with resumed streams), a cluster-soak smoke cell (SIGKILL of a
-# replicating node with client failover to its follower),
-# throughput and prediction smoke cells of apbench,
+# build, the analysis-layer stall gate (CAV4k static partition under a
+# 60 s timeout), full test suite, race-detector pass over the whole
+# module, a fuzz smoke pass over the parser/compiler/rewriter/spap-resume
+# fuzz targets, the fault-injection smoke sweep, a chaos-soak smoke cell
+# (kill/resume with stream comparison), a serve-soak smoke cell (real
+# SIGKILL of a live apserve with resumed streams), a cluster-soak smoke
+# cell (SIGKILL of a replicating node with client failover to its
+# follower), throughput and prediction smoke cells of apbench,
 # a batch-kernel smoke cell (64-stream solo-vs-batch with the per-lane
 # equivalence and aligned-speedup gates), a worst-case smoke cell
 # (certified bounds + adversarial witness with the soundness, dominance,
@@ -56,15 +57,30 @@ fi
 
 echo "== go build =="
 go build ./...
+apsim_dir=$(mktemp -d)
+trap 'rm -rf "$apsim_dir"' EXIT
+apsim_bin=$apsim_dir/apsim
+go build -o "$apsim_bin" ./cmd/apsim
+
+# Analysis-layer stall gate: a static-strategy run of the largest app
+# (CAV4k, ~141k states at the default scale) passes its whole network
+# through lint, the rewriter and static hotness before the first symbol.
+# It takes ~3 s on a 2-core host; a quadratic step in those analyses
+# takes it past 90 s, so a 60 s bound catches one without tripping on a
+# slow or busy host.
+echo "== analysis-layer stall gate (CAV4k static partition) =="
+timeout 60 "$apsim_bin" -app CAV4k -system spap -strategy static >/dev/null \
+    || { echo "CAV4k static partition failed or took over 60 s" >&2; exit 1; }
 
 echo "== go test =="
 go test ./...
 
 if [[ $short -eq 0 ]]; then
     echo "== go test -race (whole module) =="
-    # The lint golden sweep takes ~18 min under the race detector on a
-    # single-core box; the default 10-min per-package timeout is too
-    # tight there, so set one that only a genuine hang can hit.
+    # The whole-module race pass takes ~3.5 min on a 2-core box, its
+    # slowest packages (exp, worstcase and the lint golden sweep) ~70 s
+    # each; the 30-min timeout leaves headroom for slower hosts, so only
+    # a genuine hang can hit it.
     go test -race -timeout 1800s ./...
 fi
 
@@ -87,9 +103,6 @@ if [[ $short -eq 0 ]]; then
     # must complete under the guard with losses accounted. A -timeout bounds
     # each cell so a regression hangs the gate for at most a minute.
     echo "== fault-injection smoke sweep =="
-    apsim_bin=$(mktemp -d)/apsim
-    trap 'rm -rf "$(dirname "$apsim_bin")"' EXIT
-    go build -o "$apsim_bin" ./cmd/apsim
     for seed in 1 2 3; do
         for spec in "stuckoff=0.02" "drop=0.05"; do
             for app in Fermi HM PEN Snort; do
